@@ -9,7 +9,8 @@
 - :mod:`repro.analysis.slices` -- local-remote partitions, LR-slices
   and observational equivalence (Definitions 3.2-3.7).
 - :mod:`repro.analysis.pathsplit` -- per-path write summaries and
-  treaty-check partitioning (the dispatch-time static tier).
+  the two commit-check kinds (``free`` skips the check, ``full`` runs
+  it), selected at treaty install.
 - :mod:`repro.analysis.classify` -- the coordination-freedom
   classifier: FREE / PATH_SENSITIVE / TREATY / SYNC verdicts with
   machine-checkable witnesses.

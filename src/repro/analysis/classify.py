@@ -7,17 +7,15 @@ and emits a verdict with a machine-checkable witness:
 
 ``FREE``
     The path provably cannot violate any installed invariant: it is
-    read-only, its writes never touch a treaty base
-    (invariant-confluence by disjointness), or every write is a
-    monotone-safe constant delta (commutative bounded increments away
-    from their bounds -- the Bailis-style coordination-avoidance
-    classes).  FREE paths bypass the treaty check at commit time and
-    the simulator prices them at zero check cost.
+    read-only, or its writes never touch a treaty base
+    (invariant-confluence by disjointness).  FREE paths bypass the
+    treaty check at commit time and the simulator prices them at zero
+    check cost.
 
 ``TREATY``
-    The path may move an invariant and carries a per-path clause
-    partition (or the full dynamic check) -- the homeostasis protocol
-    proper.
+    The path writes a base some treaty clause mentions and takes the
+    full check (escrow counters or the compiled closure) -- the
+    homeostasis protocol proper.
 
 ``SYNC``
     The path *statically always* violates: it writes a constant
@@ -66,10 +64,11 @@ class ClassificationError(Exception):
 
 
 class PathCheckDivergence(AssertionError):
-    """The static tier's bypass and the full treaty check disagreed on
-    one commit's verdict -- a soundness bug in the classifier or the
-    path partition, surfaced loudly by validate mode instead of
-    silently weakening (or over-enforcing) the treaty."""
+    """A ``free`` path's bypass and the full treaty check disagreed on
+    one commit's verdict (or a replayed path-check table disagrees with
+    its install-time record) -- a soundness bug in the classifier,
+    surfaced loudly by validate mode instead of silently weakening the
+    treaty."""
 
 
 @dataclass(frozen=True)
@@ -131,20 +130,10 @@ def classify_row(
     """Classify one path; returns the verdict and the runtime check."""
     check = classify_path(summary, constraints, tx_name, row_index)
     bases = sorted(summary.bases)
-    treaty_bases = sorted(clause_bases(constraints))
     if check.kind == "free":
         witness: dict[str, object] = {
             "write_bases": bases,
-            "clause_bases": treaty_bases,
-        }
-        return (
-            PathClassification(row_index, "FREE", check.reason, _freeze(witness)),
-            check,
-        )
-    if check.kind == "free-absorb":
-        witness = {
-            "deltas": sorted(summary.const_deltas or ()),
-            "touching": _touching_coeffs(summary, constraints),
+            "clause_bases": sorted(clause_bases(constraints)),
         }
         return (
             PathClassification(row_index, "FREE", check.reason, _freeze(witness)),
@@ -157,32 +146,11 @@ def classify_row(
             PathClassification(row_index, "SYNC", "breaks-pin", _freeze(witness)),
             check,
         )
-    if check.kind == "partition":
-        witness = {"clause_indices": list(check.clause_indices)}
-    else:
-        witness = {"write_bases": bases}
+    witness = {"write_bases": bases}
     return (
         PathClassification(row_index, "TREATY", check.reason, _freeze(witness)),
         check,
     )
-
-
-def _touching_coeffs(
-    summary: WriteSummary, constraints: tuple[LinearConstraint, ...]
-) -> list[tuple[int, str, int, int]]:
-    """``(clause_index, base, coeff, delta)`` rows backing a
-    monotone-safety witness: every row must satisfy ``coeff * delta
-    <= 0`` on a ``<=``-clause."""
-    out: list[tuple[int, str, int, int]] = []
-    by_base = summary.delta_by_base()
-    for idx, con in enumerate(constraints):
-        for var in con.variables():
-            if not isinstance(var, ObjT):
-                continue
-            base = base_of_name(var.name)
-            for delta in by_base.get(base, ()):
-                out.append((idx, base, con.coeff_for(var), delta))
-    return out
 
 
 def classify_procedure(
@@ -244,19 +212,26 @@ def check_witness(
     is only as good as its checkability.
     """
     witness = path.witness_dict()
-    if path.verdict == "FREE" and path.reason in ("read-only", "untouched-invariants"):
+    if path.verdict in ("FREE", "TREATY"):
         claimed_writes = frozenset(
             witness.get("write_bases", ())  # type: ignore[arg-type]
-        )
-        claimed_clauses = frozenset(
-            witness.get("clause_bases", ())  # type: ignore[arg-type]
         )
         if claimed_writes != summary.bases:
             raise ClassificationError(
                 f"witness write bases {sorted(claimed_writes)} != "
                 f"actual {sorted(summary.bases)}"
             )
-        if claimed_clauses != clause_bases(constraints):
+        treaty_bases = clause_bases(constraints)
+        if path.verdict == "TREATY":
+            if not claimed_writes & treaty_bases:
+                raise ClassificationError(
+                    "TREATY witness touches no clause base: the path is FREE"
+                )
+            return
+        claimed_clauses = frozenset(
+            witness.get("clause_bases", ())  # type: ignore[arg-type]
+        )
+        if claimed_clauses != treaty_bases:
             raise ClassificationError("witness clause bases drifted from treaty")
         if claimed_writes & claimed_clauses:
             raise ClassificationError(
@@ -264,19 +239,6 @@ def check_witness(
             )
         if path.reason == "read-only" and claimed_writes:
             raise ClassificationError("read-only witness has write bases")
-        return
-    if path.verdict == "FREE" and path.reason == "monotone-safe":
-        if summary.const_deltas is None:
-            raise ClassificationError("monotone-safe witness without const deltas")
-        touching = witness.get("touching", ())
-        for idx, base, coeff, delta in touching:  # type: ignore[union-attr]
-            con = constraints[idx]
-            if con.op != "<=":
-                raise ClassificationError(f"clause {idx} is not a <=-bound")
-            if coeff * delta > 0:
-                raise ClassificationError(
-                    f"clause {idx}: delta {delta} on {base} moves toward bound"
-                )
         return
     if path.verdict == "SYNC":
         pins = witness.get("pins", ())
@@ -297,13 +259,5 @@ def check_witness(
                 raise ClassificationError(f"pin {idx} does not hold base {base!r}")
             if base not in summary.bases:
                 raise ClassificationError(f"path does not write base {base!r}")
-        return
-    if path.verdict == "TREATY":
-        indices = witness.get("clause_indices")
-        if indices is not None:
-            if summary.ground is None:
-                raise ClassificationError("partition witness without ground writes")
-            for i in indices:  # type: ignore[union-attr]
-                _ = constraints[int(i)]  # bounds check
         return
     raise ClassificationError(f"unknown verdict {path.verdict!r}")

@@ -1,15 +1,11 @@
-"""Per-path write summaries and treaty-check partitioning.
+"""Per-path write summaries and treaty-check selection.
 
 The symbolic executor (:mod:`repro.analysis.symbolic`) already splits a
 stored procedure into mutually exclusive ``Row(guard, residual)``
 execution paths, and the catalog dispatches exactly one row per
 invocation.  This module exploits that split at *treaty-check* time:
-instead of treating every commit as potentially touching every clause
-of the site's local treaty, it statically summarizes each path's write
-set and partitions the installed clause list into the cheapest sound
-check for that path.
-
-Four check kinds, from cheapest to most general:
+it statically summarizes each path's write set and selects one of two
+check kinds for it:
 
 ``free``
     The path's written array bases are disjoint from every base any
@@ -22,29 +18,12 @@ Four check kinds, from cheapest to most general:
     0``, so the escrow account would not have staged their deltas
     either.
 
-``free-absorb``
-    Every write has the constant-delta form ``x = read(x) + c`` and,
-    for every ``<=``-clause touching a written base, ``coeff * c <=
-    0`` (the write moves the clause *away* from its bound), with no
-    equality pin touching any written base.  Monotone-safe: the commit
-    cannot introduce a violation, so the judgment is skipped.  In
-    escrow mode the deltas still flow through the account (the
-    counters track slack incrementally) but the verdict is known
-    statically.
-
-``partition``
-    The path's write set is fully ground (statically known object
-    names).  The clauses touching those names are precompiled into a
-    single conjunction subset check -- the static analogue of the
-    per-object clause index ``violations_after_writes`` consults
-    dynamically, minus the per-commit index walk.
-
 ``full``
-    Parameterized writes touching treaty bases: fall back to the
-    dynamic per-object check (or the escrow account).
+    Every other path: the commit runs the escrow counters, or the
+    compiled per-object check when the treaty is escrow-ineligible.
 
-The partitioning runs at :meth:`SiteServer.install_treaty` time from
-the site's own catalog and treaty, so it is deterministic given the
+The selection runs at :meth:`SiteServer.install_treaty` time from the
+site's own catalog and treaty, so it is deterministic given the
 install -- which is what lets the WAL record it and recovery re-derive
 and cross-check it.
 """
@@ -67,7 +46,7 @@ if TYPE_CHECKING:
     from repro.treaty.table import LocalTreaty
 
 #: check kinds, cheapest first (order is meaningful for reporting)
-CHECK_KINDS = ("free", "free-absorb", "partition", "full")
+CHECK_KINDS = ("free", "full")
 
 
 def base_of_name(name: str) -> str:
@@ -92,15 +71,13 @@ def clause_bases(constraints: Iterable[LinearConstraint]) -> frozenset[str]:
 class WriteSummary:
     """Static summary of one execution path's write set.
 
-    ``bases`` is always exact (every write's array base).  ``ground``
-    is the full set of written object names when *every* write target
-    is ground, else ``None``.  ``const_deltas`` maps each written
-    reference (pretty-printed term) to its constant delta when every
-    write has the form ``x = read(x) + c``, else ``None``.
+    ``bases`` is always exact (every write's array base).
+    ``const_deltas`` maps each written reference (pretty-printed term)
+    to its constant delta when every write has the form ``x = read(x)
+    + c``, else ``None`` (the classifier's pin witness reads it).
     """
 
     bases: frozenset[str]
-    ground: frozenset[str] | None
     const_deltas: tuple[tuple[str, int], ...] | None
 
     @property
@@ -120,24 +97,18 @@ class WriteSummary:
 def summarize_writes(residual: Com) -> WriteSummary:
     """Summarize the writes of one straight-line residual."""
     bases: set[str] = set()
-    ground: set[str] | None = set()
     deltas: list[tuple[str, int]] | None = []
     for node in walk_commands(residual):
         if not isinstance(node, Write):
             continue
         ref = node.ref
-        target = ref_to_term(ref)
         if isinstance(ref, GroundRef):
             bases.add(base_of_name(ref.name))
         else:
             assert isinstance(ref, ArrayRef)
             bases.add(ref.base)
-        if isinstance(target, ObjT):
-            if ground is not None:
-                ground.add(target.name)
-        else:
-            ground = None  # parameterized target: names unknown statically
         if deltas is not None:
+            target = ref_to_term(ref)
             delta = _const_delta(target, node)
             if delta is None:
                 deltas = None
@@ -145,7 +116,6 @@ def summarize_writes(residual: Com) -> WriteSummary:
                 deltas.append((_ref_key(target), delta))
     return WriteSummary(
         bases=frozenset(bases),
-        ground=frozenset(ground) if ground is not None else None,
         const_deltas=tuple(deltas) if deltas is not None else None,
     )
 
@@ -175,25 +145,19 @@ class PathCheck:
     tx_name: str
     row_index: int
     kind: str  # one of CHECK_KINDS
-    clause_indices: tuple[int, ...]  # into the treaty's constraint list
     reason: str
-
-    @property
-    def bypasses_check(self) -> bool:
-        return self.kind in ("free", "free-absorb")
 
     def encode(self) -> list[object]:
         """Compact JSON-ready form (for the treaty WAL record)."""
-        return [self.row_index, self.kind, list(self.clause_indices), self.reason]
+        return [self.row_index, self.kind, self.reason]
 
 
 def decode_path_check(tx_name: str, payload: Iterable[Any]) -> PathCheck:
-    row_index, kind, indices, reason = payload
+    row_index, kind, reason = payload
     return PathCheck(
         tx_name=tx_name,
         row_index=int(row_index),
         kind=str(kind),
-        clause_indices=tuple(int(i) for i in indices),
         reason=str(reason),
     )
 
@@ -204,59 +168,19 @@ def classify_path(
     tx_name: str,
     row_index: int,
 ) -> PathCheck:
-    """Select the cheapest sound check kind for one path's writes."""
-    treaty_bases = clause_bases(constraints)
+    """Select the check kind for one path's writes."""
     if summary.read_only:
-        return PathCheck(tx_name, row_index, "free", (), "read-only")
-    if not (summary.bases & treaty_bases):
-        return PathCheck(tx_name, row_index, "free", (), "untouched-invariants")
-    absorb = _monotone_safe(summary, constraints)
-    if absorb:
-        return PathCheck(tx_name, row_index, "free-absorb", (), "monotone-safe")
-    if summary.ground is not None:
-        indices = tuple(
-            i
-            for i, con in enumerate(constraints)
-            if any(
-                isinstance(var, ObjT) and var.name in summary.ground
-                for var in con.variables()
-            )
-        )
-        return PathCheck(tx_name, row_index, "partition", indices, "ground-writes")
-    return PathCheck(tx_name, row_index, "full", (), "parameterized-writes")
-
-
-def _monotone_safe(
-    summary: WriteSummary, constraints: tuple[LinearConstraint, ...]
-) -> bool:
-    """True when every write is a constant delta that cannot move any
-    touching ``<=``-clause toward its bound, and no pin is touched."""
-    by_base = summary.delta_by_base()
-    if not by_base or set(by_base) != set(summary.bases):
-        return False
-    for con in constraints:
-        touched = False
-        for var in con.variables():
-            if not isinstance(var, ObjT):
-                return False  # template var: cannot reason statically
-            base = base_of_name(var.name)
-            if base not in by_base:
-                continue
-            touched = True
-            coeff = con.coeff_for(var)
-            for delta in by_base[base]:
-                if coeff * delta > 0:
-                    return False
-        if touched and con.op != "<=":
-            return False  # equality pin on a written base
-    return True
+        return PathCheck(tx_name, row_index, "free", "read-only")
+    if not (summary.bases & clause_bases(constraints)):
+        return PathCheck(tx_name, row_index, "free", "untouched-invariants")
+    return PathCheck(tx_name, row_index, "full", "touches-treaty")
 
 
 def build_path_checks(
     catalog: "StoredProcedureCatalog", treaty: "LocalTreaty | None"
 ) -> dict[str, tuple[PathCheck, ...]]:
-    """Partition every registered stored procedure's paths against the
-    installed local treaty.
+    """Select the check kind of every registered stored procedure's
+    paths against the installed local treaty.
 
     With no treaty installed every path is trivially free.
     """
@@ -278,7 +202,7 @@ def build_path_checks(
 def encode_path_checks(
     paths: Mapping[str, tuple[PathCheck, ...]],
 ) -> dict[str, list[list[object]]]:
-    """JSON-ready form of a full path-check table (WAL payload)."""
+    """JSON-ready form of a path-check table (WAL payload)."""
     return {
         tx: [check.encode() for check in checks]
         for tx, checks in sorted(paths.items())

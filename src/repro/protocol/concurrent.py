@@ -83,15 +83,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.analysis.symbolic import SymbolicTable
-from repro.protocol.homeostasis import (
-    AdaptiveSettings,
-    HomeostasisCluster,
-    ProtocolError,
-    TreatyGenerator,
-)
+from repro.protocol.homeostasis import HomeostasisCluster, ProtocolError
 from repro.protocol.messages import Outcome, Vote, VoteReply
-from repro.protocol.paxos_commit import NegotiationSpec, QuorumUnreachable
+from repro.protocol.paxos_commit import QuorumUnreachable
 from repro.protocol.site import SiteResult
 from repro.protocol.transport import (
     NegotiationTrace,
@@ -100,7 +94,7 @@ from repro.protocol.transport import (
 )
 
 if TYPE_CHECKING:
-    from typing import Callable
+    from repro.protocol.config import ClusterSpec
 
 
 @dataclass
@@ -246,40 +240,8 @@ class ConcurrentCluster(HomeostasisCluster):
     through :meth:`submit_window`.
     """
 
-    def __init__(
-        self,
-        site_ids: Sequence[int],
-        locate: "Callable[[str], int]",
-        initial_db: Mapping[str, int],
-        tables: Sequence[SymbolicTable],
-        tx_home: Mapping[str, int],
-        generator: TreatyGenerator,
-        arrays: Mapping[str, tuple[int, ...]] | None = None,
-        post_sync_hooks: Sequence["Callable[[HomeostasisCluster], None]"] = (),
-        validate: bool = False,
-        deterministic_solver: bool = True,
-        adaptive: AdaptiveSettings | None = None,
-        transport: Transport | None = None,
-        negotiation: NegotiationSpec | None = None,
-    ) -> None:
-        super().__init__(
-            site_ids=site_ids,
-            locate=locate,
-            initial_db=initial_db,
-            tables=tables,
-            tx_home=tx_home,
-            generator=generator,
-            arrays=arrays,
-            post_sync_hooks=post_sync_hooks,
-            validate=validate,
-            deterministic_solver=deterministic_solver,
-            adaptive=adaptive,
-            transport=transport,
-            negotiation=negotiation,
-        )
-
-    def _setup(self, *args, **kwargs) -> None:
-        super()._setup(*args, **kwargs)
+    def __init__(self, spec: "ClusterSpec", transport: Transport | None = None) -> None:
+        super().__init__(spec, transport=transport)
         self._txn_seq = itertools.count()
 
     # -- fault handling ------------------------------------------------------------

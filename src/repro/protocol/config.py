@@ -141,10 +141,10 @@ def build_cluster(
                 f"kernel {kernel!r} takes no extra options (got {unknown})"
             )
         if kernel == "sequential":
-            return HomeostasisCluster._from_spec(spec, transport=transport)
+            return HomeostasisCluster(spec, transport=transport)
         from repro.protocol.concurrent import ConcurrentCluster
 
-        return ConcurrentCluster._from_spec(spec, transport=transport)
+        return ConcurrentCluster(spec, transport=transport)
     if kernel == "async":
         # Imported lazily: the asyncio runtime is a consumer of the
         # protocol layer, not a dependency of it.

@@ -73,9 +73,8 @@ H1/H2 survive.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.analysis.residual import residual_reads
 from repro.analysis.symbolic import SymbolicTable
@@ -593,95 +592,19 @@ class ClusterStats:
 class HomeostasisCluster:
     """K sites executing a known workload under the homeostasis protocol.
 
-    Construct through :func:`repro.protocol.config.build_cluster` (a
-    :class:`~repro.protocol.config.ClusterSpec` names every option);
-    the positional constructor below is a deprecated compatibility
-    shim.
+    Construct from a :class:`~repro.protocol.config.ClusterSpec`
+    (which names every option), usually through
+    :func:`repro.protocol.config.build_cluster`; ``transport``
+    overrides the message fabric (fault plans attach here).
     """
 
-    def __init__(
-        self,
-        site_ids: Sequence[int],
-        locate: Callable[[str], int],
-        initial_db: Mapping[str, int],
-        tables: Sequence[SymbolicTable],
-        tx_home: Mapping[str, int],
-        generator: TreatyGenerator,
-        arrays: Mapping[str, tuple[int, ...]] | None = None,
-        post_sync_hooks: Sequence[Callable[["HomeostasisCluster"], None]] = (),
-        validate: bool = False,
-        deterministic_solver: bool = True,
-        adaptive: AdaptiveSettings | None = None,
-        transport: Transport | None = None,
-        negotiation: NegotiationSpec | None = None,
-    ) -> None:
-        warnings.warn(
-            f"constructing {type(self).__name__} directly is deprecated; "
-            "build a repro.protocol.config.ClusterSpec and call "
-            "build_cluster(spec) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._setup(
-            site_ids=site_ids,
-            locate=locate,
-            initial_db=initial_db,
-            tables=tables,
-            tx_home=tx_home,
-            generator=generator,
-            arrays=arrays,
-            post_sync_hooks=post_sync_hooks,
-            validate=validate,
-            deterministic_solver=deterministic_solver,
-            adaptive=adaptive,
-            transport=transport,
-            negotiation=negotiation,
-        )
-
-    @classmethod
-    def _from_spec(
-        cls, spec: "ClusterSpec", transport: Transport | None = None
-    ) -> "HomeostasisCluster":
-        """Construct from a :class:`~repro.protocol.config.ClusterSpec`
-        without tripping the deprecation shim (the
-        :func:`~repro.protocol.config.build_cluster` entry point)."""
-        self = cls.__new__(cls)
-        self._setup(
-            site_ids=spec.sites,
-            locate=spec.locate,
-            initial_db=spec.initial_db,
-            tables=spec.tables,
-            tx_home=spec.tx_home,
-            generator=spec.make_generator(),
-            arrays=dict(spec.arrays) or None,
-            post_sync_hooks=spec.post_sync_hooks,
-            validate=spec.validate,
-            deterministic_solver=spec.deterministic_solver,
-            adaptive=spec.adaptive,
-            transport=transport,
-            negotiation=spec.negotiation,
-        )
-        return self
-
-    def _setup(
-        self,
-        site_ids: Sequence[int],
-        locate: Callable[[str], int],
-        initial_db: Mapping[str, int],
-        tables: Sequence[SymbolicTable],
-        tx_home: Mapping[str, int],
-        generator: TreatyGenerator,
-        arrays: Mapping[str, tuple[int, ...]] | None = None,
-        post_sync_hooks: Sequence[Callable[["HomeostasisCluster"], None]] = (),
-        validate: bool = False,
-        deterministic_solver: bool = True,
-        adaptive: AdaptiveSettings | None = None,
-        transport: Transport | None = None,
-        negotiation: NegotiationSpec | None = None,
-    ) -> None:
-        self.site_ids = tuple(site_ids)
-        self.locate = locate
-        self.tx_home = dict(tx_home)
+    def __init__(self, spec: "ClusterSpec", transport: Transport | None = None) -> None:
+        generator = spec.make_generator()
+        adaptive = spec.adaptive
+        negotiation = spec.negotiation
+        self.site_ids = tuple(spec.sites)
+        self.locate = spec.locate
+        self.tx_home = dict(spec.tx_home)
         self.generator = generator
         self.adaptive = adaptive
         # The estimator always runs (observation is O(write set)); the
@@ -709,21 +632,21 @@ class HomeostasisCluster:
         #: down: site -> (tx_name, params) of the T' it must re-run
         #: deterministically at recovery to catch up
         self._missed_runs: dict[int, tuple[str, dict[str, int]]] = {}
-        self.post_sync_hooks = list(post_sync_hooks)
-        self.validate = validate
-        self.deterministic_solver = deterministic_solver
+        self.post_sync_hooks = list(spec.post_sync_hooks)
+        self.validate = spec.validate
+        self.deterministic_solver = spec.deterministic_solver
         self.last_sync: SyncRound | None = None
-        arrays = arrays or {}
+        arrays = dict(spec.arrays)
 
         self.sites: dict[int, SiteServer] = {}
         for sid in self.site_ids:
-            server = SiteServer(site_id=sid, locate=locate, arrays=arrays)
+            server = SiteServer(site_id=sid, locate=spec.locate, arrays=arrays)
             # Validate mode runs the compiled oracle next to every
             # escrow fast-path check and asserts the verdicts agree.
-            server.validate_escrow = validate
-            for table in tables:
+            server.validate_escrow = spec.validate
+            for table in spec.tables:
                 server.catalog.register(table)
-            server.engine.store.apply(initial_db)
+            server.engine.store.apply(spec.initial_db)
             server.engine.checkpoint()
             self.sites[sid] = server
             self.transport.register(sid, server)
@@ -825,9 +748,9 @@ class HomeostasisCluster:
                     )
                 )
         for sid in sorted(participants):
-            # Observability mirror of each participant's static-tier
-            # partition (built inside install_treaty either way --
-            # direct install or shipped).
+            # Observability mirror of each participant's path-check
+            # kinds (built inside install_treaty either way -- direct
+            # install or shipped).
             table.record_paths(sid, self.sites[sid].path_checks)
         if self.validate:
             # The global treaty is never weakened: every install --
@@ -1401,24 +1324,23 @@ class HomeostasisCluster:
         }
 
     def classifier_stats(self) -> dict:
-        """Cluster-wide static-tier (path-check) statistics.
+        """Cluster-wide path-check statistics.
 
         ``free_ratio`` is the fraction of treaty-bearing executions
-        that bypassed the check entirely (``free`` + monotone-safe
-        ``absorbed`` paths); ``checks_per_commit`` is the mean number
-        of treaty clauses left in scope per execution -- the quantity
-        path-sensitivity shrinks and the benchmark gates.  Both are
-        deterministic under a fixed seed.
+        that bypassed the check entirely (``free`` paths);
+        ``checks_per_commit`` is the mean number of treaty clauses left
+        in scope per execution -- the quantity path-sensitivity shrinks
+        and the benchmark gates.  Both are deterministic under a fixed
+        seed.
         """
         totals: dict[str, int] = {}
         for server in self.sites.values():
             for key, value in server.check_stats.items():
                 totals[key] = totals.get(key, 0) + value
         checked = totals.get("checked", 0)
-        bypassed = totals.get("free", 0) + totals.get("absorbed", 0)
         return {
             **totals,
-            "free_ratio": round(bypassed / checked, 5) if checked else 0.0,
+            "free_ratio": round(totals.get("free", 0) / checked, 5) if checked else 0.0,
             "checks_per_commit": (
                 round(totals.get("clauses_in_scope", 0) / checked, 5)
                 if checked
@@ -1451,7 +1373,7 @@ class HomeostasisCluster:
         out: set[str] = set()
         for tx_name, home in self.tx_home.items():
             checks = self.sites[home].path_checks.get(tx_name)
-            if checks and all(check.bypasses_check for check in checks):
+            if checks and all(check.kind == "free" for check in checks):
                 out.add(tx_name)
         return frozenset(out)
 

@@ -13,22 +13,19 @@ the stored procedure whose guard matches, run it inside a storage
 transaction, check the local treaty before commit, and either commit
 (returning the log) or abort and report the treaty violation.
 
-The treaty check itself is tiered.  A **static tier** runs first: at
-install time the site partitions every stored procedure's execution
-paths against the new treaty (:mod:`repro.analysis.pathsplit`), so a
-commit on a path whose writes provably cannot move any clause
-(``free`` / ``free-absorb``) skips the check -- and the write-delta
-computation -- outright, and a path with a statically known ground
-write set (``partition``) checks one precompiled clause subset.
-Everything else lands on the dynamic tiers: treaties whose clauses
-are all linear ``<=``-bounds are lowered at install time into
-**escrow headroom counters** (:mod:`repro.treaty.escrow`): the commit
-check becomes counter subtractions driven by the undo journal's write
-deltas, with batched window settlement.  The rest -- and every commit
-in ``validate_escrow`` mode, which runs the bypassed tiers next to
-the full check and asserts agreement -- goes through the
-compiled-closure check
+The treaty check has two kinds, selected per execution path at
+install time (:mod:`repro.analysis.pathsplit`).  A ``free`` path's
+writes touch no base any clause mentions, so its commit skips the
+check -- and the write-delta computation -- outright.  Every other
+path takes the ``full`` check: treaties whose clauses are all linear
+``<=``-bounds are lowered at install time into **escrow headroom
+counters** (:mod:`repro.treaty.escrow`), so the check becomes counter
+subtractions driven by the undo journal's write deltas, with batched
+window settlement; the rest go through the compiled-closure check
 (:meth:`~repro.treaty.table.LocalTreaty.violations_after_writes`).
+In ``validate_escrow`` mode that compiled check is also the oracle:
+every ``free`` or escrow verdict is compared against it after the
+fact, and any disagreement raises.
 
 Treaty installs are **durable**: every install (and every rebalance
 request this site acknowledges) is appended to the site's
@@ -74,24 +71,9 @@ from repro.storage.wal import (
 from repro.treaty.escrow import EscrowAccount, EscrowDivergence
 from repro.treaty.table import LocalTreaty
 
-#: static-tier check kinds -> their counter names in ``check_stats``
-_KIND_COUNTER = {
-    "free": "free",
-    "free-absorb": "absorbed",
-    "partition": "partition",
-    "full": "full",
-}
-
 
 def _fresh_check_stats() -> dict[str, int]:
-    return {
-        "free": 0,
-        "absorbed": 0,
-        "partition": 0,
-        "full": 0,
-        "checked": 0,
-        "clauses_in_scope": 0,
-    }
+    return {"free": 0, "full": 0, "checked": 0, "clauses_in_scope": 0}
 
 
 def clause_slack(con: LinearConstraint, getobj: Callable[[str], int]) -> int:
@@ -157,12 +139,12 @@ class SiteServer:
     #: to the compiled path (the eligibility ratio the benchmark gates)
     escrow_installs: int = 0
     escrow_ineligible_installs: int = 0
-    #: per-(tx, path) treaty-check partition of the installed treaty
-    #: (the static tier; rebuilt on every install, cleared on crash)
+    #: per-(tx, path) check kind under the installed treaty (rebuilt
+    #: on every install, cleared on crash)
     path_checks: dict[str, tuple[PathCheck, ...]] = field(default_factory=dict)
-    #: static-tier accounting: which check kind each treaty-bearing
-    #: execution landed on, plus the number of treaty clauses left in
-    #: scope for it (what the checks-per-commit benchmark gate reads)
+    #: which check kind each treaty-bearing execution landed on, plus
+    #: the number of treaty clauses left in scope for it (what the
+    #: checks-per-commit benchmark gate reads)
     check_stats: dict[str, int] = field(default_factory=_fresh_check_stats)
     #: Paxos Commit acceptor state, keyed by decision-round instance
     #: id: the highest ballot promised, and the (ballot, verdicts)
@@ -199,10 +181,9 @@ class SiteServer:
             for con in treaty.constraints
             if con.op == "<="
         }
-        # The static tier: partition every registered procedure's
-        # execution paths against the new clauses.  Deterministic given
-        # (catalog, treaty), so the WAL record doubles as a recovery
-        # cross-check.
+        # Select every registered procedure's per-path check kind
+        # against the new clauses.  Deterministic given (catalog,
+        # treaty), so the WAL record doubles as a recovery cross-check.
         paths = build_path_checks(self.catalog, treaty)
         if log:
             record = {"kind": "treaty_install", "round": round_number}
@@ -235,8 +216,8 @@ class SiteServer:
             return -1
         treaty, headroom = decode_local_treaty(record)
         self.local_treaty = treaty
-        # The path partition is re-derived, not restored: it is a pure
-        # function of (catalog, treaty), and re-deriving keeps it
+        # The path checks are re-derived, not restored: they are a pure
+        # function of (catalog, treaty), and re-deriving keeps them
         # consistent with the code actually running after a restart.
         # Validate mode cross-checks the re-derivation against what was
         # recorded at install time.
@@ -245,7 +226,7 @@ class SiteServer:
             recorded = decode_recorded_paths(record)
             if recorded is not None and recorded != self.path_checks:
                 raise PathCheckDivergence(
-                    f"site {self.site_id}: replayed path partition does not "
+                    f"site {self.site_id}: replayed path checks do not "
                     "match the install-time record"
                 )
         # The recorded snapshot, not a recomputation: slack already
@@ -406,122 +387,72 @@ class SiteServer:
             if self.local_treaty is not None:
                 treaty = self.local_treaty
                 check = self._path_check(tx_name, proc.row_index)
-                kind = check.kind if check is not None else "full"
+                free = check is not None and check.kind == "free"
                 stats = self.check_stats
                 stats["checked"] += 1
-                stats[_KIND_COUNTER[kind]] += 1
-                if kind == "partition":
-                    assert check is not None
-                    stats["clauses_in_scope"] += len(check.clause_indices)
-                elif kind == "full":
-                    stats["clauses_in_scope"] += len(treaty.constraints)
                 escrow = self.escrow
-                if kind == "free":
+                if free:
                     # The path's writes touch no base any clause
                     # mentions: under H2 the treaty still holds, and
                     # the escrow counters (if any) would not have
                     # staged these deltas either (max_coeff == 0), so
                     # the delta computation is skipped along with the
                     # check.
+                    stats["free"] += 1
                     violated: set[str] | frozenset[str] = frozenset()
-                    if self.validate_escrow:
-                        oracle = treaty.violations_after_writes(
-                            getobj, txn.written
-                        )
-                        if oracle:
-                            raise PathCheckDivergence(
-                                f"site {self.site_id}, {tx_name} path "
-                                f"{proc.row_index}: FREE bypass but full "
-                                f"check violates {sorted(oracle)}"
+                else:
+                    stats["full"] += 1
+                    stats["clauses_in_scope"] += len(treaty.constraints)
+                    if escrow is not None:
+                        engine = self.engine
+                        if escrow.synced_epoch != engine.epoch:
+                            # Non-transactional writes (sync broadcasts,
+                            # post-sync hooks, cleanup runs) moved values
+                            # under the counters; recompute before
+                            # trusting them.  The store already holds
+                            # *this* transaction's writes, so the
+                            # recomputation must read its before-images
+                            # -- resyncing on the post-state would charge
+                            # the deltas twice.
+                            before_images = {
+                                name: before
+                                for name, before, _existed in txn.undo.entries
+                            }
+                            peek = engine.peek
+                            escrow.resync(
+                                lambda name: before_images[name]
+                                if name in before_images
+                                else peek(name),
+                                engine.epoch,
                             )
-                elif escrow is not None:
-                    engine = self.engine
-                    if escrow.synced_epoch != engine.epoch:
-                        # Non-transactional writes (sync broadcasts,
-                        # post-sync hooks, cleanup runs) moved values
-                        # under the counters; recompute before trusting
-                        # them.  The store already holds *this*
-                        # transaction's writes, so the recomputation
-                        # must read its before-images -- resyncing on
-                        # the post-state would charge the deltas twice.
-                        before_images = {
-                            name: before
+                        store_get = engine.store.get
+                        deltas = {
+                            name: store_get(name) - before
                             for name, before, _existed in txn.undo.entries
                         }
-                        peek = engine.peek
-                        escrow.resync(
-                            lambda name: before_images[name]
-                            if name in before_images
-                            else peek(name),
-                            engine.epoch,
+                        viol_idx = escrow.commit(deltas)
+                        violated = (
+                            escrow.violated_objects(viol_idx)
+                            if viol_idx is not None
+                            else frozenset()
                         )
-                    store_get = engine.store.get
-                    deltas = {
-                        name: store_get(name) - before
-                        for name, before, _existed in txn.undo.entries
-                    }
-                    viol_idx = escrow.commit(deltas)
-                    violated = (
-                        escrow.violated_objects(viol_idx)
-                        if viol_idx is not None
-                        else frozenset()
-                    )
-                    if kind == "free-absorb" and viol_idx is not None:
-                        # Monotone-safe deltas cannot consume slack;
-                        # the account must have absorbed them.
-                        raise PathCheckDivergence(
-                            f"site {self.site_id}, {tx_name} path "
-                            f"{proc.row_index}: monotone-safe path "
-                            f"rejected by escrow ({sorted(violated)})"
-                        )
-                    if self.validate_escrow:
-                        oracle = treaty.violations_after_writes(
+                    else:
+                        violated = treaty.violations_after_writes(
                             getobj, txn.written
                         )
-                        if set(violated) != oracle:
-                            raise EscrowDivergence(
-                                f"site {self.site_id}, {tx_name}: escrow says "
-                                f"{sorted(violated)}, compiled oracle says "
-                                f"{sorted(oracle)} (deltas {deltas})"
-                            )
-                elif kind == "free-absorb":
-                    # Compiled mode: the verdict is static (every
-                    # write moves its clauses away from their bounds),
-                    # so the judgment is skipped outright.
-                    violated = frozenset()
-                    if self.validate_escrow:
-                        oracle = treaty.violations_after_writes(
-                            getobj, txn.written
-                        )
-                        if oracle:
+                if self.validate_escrow and (free or escrow is not None):
+                    oracle = treaty.violations_after_writes(getobj, txn.written)
+                    if set(violated) != oracle:
+                        where = f"site {self.site_id}, {tx_name} path {proc.row_index}"
+                        if free:
                             raise PathCheckDivergence(
-                                f"site {self.site_id}, {tx_name} path "
-                                f"{proc.row_index}: monotone-safe bypass "
-                                f"but full check violates {sorted(oracle)}"
+                                f"{where}: FREE bypass but full check "
+                                f"violates {sorted(oracle)}"
                             )
-                elif kind == "partition":
-                    assert check is not None
-                    subset_ok = treaty.subset_check(check.clause_indices)(getobj)
-                    violated = (
-                        frozenset()
-                        if subset_ok
-                        else treaty.violations_after_writes(getobj, txn.written)
-                    )
-                    if self.validate_escrow:
-                        oracle = treaty.violations_after_writes(
-                            getobj, txn.written
+                        raise EscrowDivergence(
+                            f"{where}: escrow says {sorted(violated)}, "
+                            f"compiled oracle says {sorted(oracle)}"
                         )
-                        if subset_ok != (not oracle):
-                            raise PathCheckDivergence(
-                                f"site {self.site_id}, {tx_name} path "
-                                f"{proc.row_index}: subset check says "
-                                f"{'ok' if subset_ok else 'violated'}, full "
-                                f"check says {sorted(oracle)}"
-                            )
-                else:
-                    violated = treaty.violations_after_writes(
-                        getobj, txn.written
-                    )
                 if violated:
                     attempted = frozenset(txn.written)
                     txn.abort()
@@ -548,9 +479,9 @@ class SiteServer:
             raise
 
     def _path_check(self, tx_name: str, row_index: int | None) -> PathCheck | None:
-        """The installed static-tier check for one dispatched path
-        (None when the procedure was registered after the install --
-        the caller falls back to the full dynamic check)."""
+        """The installed check for one dispatched path (None when the
+        procedure was registered after the install -- the caller falls
+        back to the full check)."""
         checks = self.path_checks.get(tx_name)
         if checks is None or row_index is None:
             return None

@@ -98,7 +98,7 @@ class AsyncClusterHost:
             # nondeterministic solver the initial install already
             # ships TreatyInstall frames through the loop.
             self.cluster: HomeostasisCluster = self._run(
-                lambda: kernel_cls._from_spec(spec, transport=transport)
+                lambda: kernel_cls(spec, transport=transport)
             )
         except BaseException:
             self._teardown_threads()

@@ -75,7 +75,7 @@ def run_differential(
     plan, so ``timeout_s`` is never actually paid.
     """
     mismatches: list[str] = []
-    oracle = HomeostasisCluster._from_spec(spec_factory())
+    oracle = HomeostasisCluster(spec_factory())
     with AsyncClusterHost(spec_factory(), timeout_s=timeout_s) as host:
         for i, (tx_name, params) in enumerate(schedule):
             want = oracle.try_submit(tx_name, params)

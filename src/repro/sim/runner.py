@@ -217,7 +217,7 @@ def _collect_escrow(result: SimResult, cluster) -> None:
 
 
 def _collect_classifier(result: SimResult, cluster) -> None:
-    """Fold the kernel's static-tier (path-check) counters into the
+    """Fold the kernel's path-check counters into the
     result (kernels without the classifier report nothing)."""
     stats = getattr(cluster, "classifier_stats", None)
     if stats is not None:

@@ -36,7 +36,6 @@ class LocalTreaty:
     _by_object: dict[str, list[tuple[LinearConstraint, ClauseCheck]]] | None = None
     _compiled: ClauseCheck | None = None
     _clause_checks_cache: list[tuple[LinearConstraint, ClauseCheck]] | None = None
-    _subset_checks: dict[tuple[int, ...], ClauseCheck] | None = None
 
     def compiled_check(self) -> ClauseCheck:
         """The whole-treaty check as one compiled closure (the
@@ -103,24 +102,6 @@ class LocalTreaty:
                         assert isinstance(var, ObjT)
                         violated.add(var.name)
         return violated
-
-    def subset_check(self, indices: tuple[int, ...]) -> ClauseCheck:
-        """Compiled conjunction of the clauses at the given indices.
-
-        The path-sensitive tier precomputes, per stored-procedure
-        execution path, which clause indices the path's statically
-        known write set can touch; the per-commit check for such a
-        path is this one closure call instead of the per-object index
-        walk.  Compiled once per (treaty, index tuple) -- the
-        underlying :func:`compile_clauses` memoizes by constraint
-        tuple, so identical subsets across reinstalls share code."""
-        if self._subset_checks is None:
-            self._subset_checks = {}
-        check = self._subset_checks.get(indices)
-        if check is None:
-            check = compile_clauses(tuple(self.constraints[i] for i in indices))
-            self._subset_checks[indices] = check
-        return check
 
     def violated_clauses(self, getobj: Callable[[str], int]) -> list[LinearConstraint]:
         return [

@@ -175,7 +175,7 @@ class ReplicatedWorkloadBase:
             adaptive=adaptive,
             negotiation=negotiation,
         )
-        return cluster_cls._from_spec(spec)
+        return cluster_cls(spec)
 
     def build_concurrent(self, **kwargs) -> ConcurrentCluster:
         """The same cluster under the concurrent cleanup runtime

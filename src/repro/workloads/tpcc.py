@@ -390,7 +390,7 @@ class TpccWorkload:
             validate=validate,
             adaptive=adaptive,
         )
-        return HomeostasisCluster._from_spec(spec)
+        return HomeostasisCluster(spec)
 
     def _untransformed_variants(self) -> dict[str, Transaction]:
         """Per-site original programs (for LOCAL / 2PC, which replicate

@@ -62,24 +62,14 @@ class TestClassifyRow:
         assert check.kind == "free"
         check_witness(path, DRAIN, constraints)
 
-    def test_monotone_safe_is_free_absorb(self):
-        constraints = (_le({"x": 1}, 10),)
-        path, check = classify_row(DRAIN, constraints, "D", 0)
-        assert path.verdict == "FREE"
-        assert path.reason == "monotone-safe"
-        assert check.kind == "free-absorb"
-        witness = path.witness_dict()
-        assert witness["touching"] == [(0, "x", 1, -1)]
-        check_witness(path, DRAIN, constraints)
-
     def test_constant_write_into_pin_is_sync(self):
         constraints = (_pin("x", 5),)
         path, check = classify_row(BUMP, constraints, "B", 0)
         assert path.verdict == "SYNC"
         assert path.reason == "breaks-pin"
         assert path.witness_dict()["pins"] == [(0, "x", 1)]
-        # The runtime check still partitions; SYNC is the *verdict*.
-        assert check.kind == "partition"
+        # The runtime check is still the full one; SYNC is the *verdict*.
+        assert check.kind == "full"
         check_witness(path, BUMP, constraints)
 
     def test_parameterized_writes_are_treaty(self):
@@ -89,13 +79,18 @@ class TestClassifyRow:
         assert check.kind == "full"
         check_witness(path, PARAM, constraints)
 
-    def test_partitioned_treaty_witness(self):
-        constraints = (_le({"x": -1}, -1), _le({"y": 1}, 5))
-        path, check = classify_row(DRAIN, constraints, "D", 0)
-        assert path.verdict == "TREATY"
-        assert check.kind == "partition"
-        assert path.witness_dict()["clause_indices"] == [0]
-        check_witness(path, DRAIN, constraints)
+    def test_ground_writes_are_treaty(self):
+        # A constant delta away from the bound (x <= 10, delta -1) and
+        # one toward it (x >= 1) both write a clause base: TREATY.
+        for constraints in (
+            (_le({"x": 1}, 10),),
+            (_le({"x": -1}, -1), _le({"y": 1}, 5)),
+        ):
+            path, check = classify_row(DRAIN, constraints, "D", 0)
+            assert path.verdict == "TREATY"
+            assert check.kind == "full"
+            assert path.witness_dict() == {"write_bases": ["x"]}
+            check_witness(path, DRAIN, constraints)
 
     def test_verdict_vocabulary(self):
         for constraints in ((), (_le({"x": 1}, 10),), (_pin("x", 5),)):
@@ -112,7 +107,7 @@ class TestRollup:
         )
         assert cls.verdict == "FREE"
         assert cls.free_paths == (0, 1)
-        assert all(check.bypasses_check for check in checks)
+        assert all(check.kind == "free" for check in checks)
 
     def test_mixed_rolls_to_path_sensitive(self):
         constraints = (_le({"x": -1}, -1),)
@@ -160,23 +155,6 @@ class TestWitnessTampering:
         with pytest.raises(ClassificationError):
             check_witness(forged, DRAIN, constraints)
 
-    def test_monotone_witness_checks_clause_direction(self):
-        constraints = (_le({"x": 1}, 10),)
-        path, _ = classify_row(DRAIN, constraints, "D", 0)
-        # Claim the delta moved toward the bound: must be rejected.
-        forged = dataclasses.replace(
-            path,
-            witness=(("deltas", [("x", -1)]), ("touching", [(0, "x", 1, 1)])),
-        )
-        with pytest.raises(ClassificationError):
-            check_witness(forged, DRAIN, constraints)
-
-    def test_monotone_witness_rejects_pin_clause(self):
-        constraints = (_pin("x", 5),)
-        path, _ = classify_row(DRAIN, (_le({"x": 1}, 10),), "D", 0)
-        with pytest.raises(ClassificationError):
-            check_witness(path, DRAIN, constraints)
-
     def test_sync_witness_needs_pins(self):
         constraints = (_pin("x", 5),)
         path, _ = classify_row(BUMP, constraints, "B", 0)
@@ -198,11 +176,23 @@ class TestWitnessTampering:
         with pytest.raises(ClassificationError):
             check_witness(forged, BUMP, constraints)
 
-    def test_partition_witness_needs_ground_writes(self):
-        constraints = (_le({"qty[0]": -1}, -1),)
-        path, _ = classify_row(DRAIN, (_le({"x": -1}, -1),), "D", 0)
-        with pytest.raises(ClassificationError):
+    def test_treaty_witness_must_match_actual_writes(self):
+        constraints = (_le({"x": -1}, -1), _le({"qty[0]": -1}, -1))
+        path, _ = classify_row(DRAIN, constraints, "D", 0)
+        assert path.verdict == "TREATY"
+        with pytest.raises(ClassificationError, match="write bases"):
             check_witness(path, PARAM, constraints)
+
+    def test_provably_free_path_cannot_claim_treaty(self):
+        # DRAIN writes only x and no clause mentions x: the path is
+        # FREE, so a TREATY verdict over the true write bases is forged.
+        constraints = (_le({"y": 1}, 10),)
+        path, _ = classify_row(DRAIN, constraints, "D", 0)
+        forged = dataclasses.replace(
+            path, verdict="TREATY", witness=(("write_bases", ["x"]),)
+        )
+        with pytest.raises(ClassificationError, match="FREE"):
+            check_witness(forged, DRAIN, constraints)
 
     def test_unknown_verdict_rejected(self):
         constraints = (_le({"x": 1}, 10),)

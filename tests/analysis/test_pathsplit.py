@@ -1,4 +1,4 @@
-"""Tests for per-path write summaries and treaty-check partitioning."""
+"""Tests for per-path write summaries and check-kind selection."""
 
 import pytest
 
@@ -80,35 +80,32 @@ class TestSummarizeWrites:
         summary = _only_summary(READ_ONLY_SRC)
         assert summary.read_only
         assert summary.bases == frozenset()
-        assert summary.ground == frozenset()
         assert summary.const_deltas == ()
 
     def test_scalar_const_delta(self):
         summary = _only_summary(DRAIN_SRC)
         assert summary.bases == frozenset({"x"})
-        assert summary.ground == frozenset({"x"})
         assert summary.const_deltas == (("x", -1),)
         assert summary.delta_by_base() == {"x": [-1]}
 
     def test_non_constant_delta(self):
         summary = _only_summary(DOUBLE_SRC)
         assert summary.bases == frozenset({"x"})
-        assert summary.ground == frozenset({"x"})
         assert summary.const_deltas is None
         assert summary.delta_by_base() == {}
 
     def test_parameterized_target_is_not_ground(self):
         summary = _only_summary(PARAM_SRC)
         assert summary.bases == frozenset({"qty"})
-        assert summary.ground is None
+        assert summary.const_deltas == (("qty[@item]", -1),)
 
     def test_ground_array_cell(self):
         summary = _only_summary(GROUND_CELL_SRC)
         assert summary.bases == frozenset({"qty"})
-        assert summary.ground is not None
-        (name,) = summary.ground
+        ((name, delta),) = summary.const_deltas
+        assert name == "qty[0]"
         assert base_of_name(name) == "qty"
-        assert summary.const_deltas == ((name, -1),)
+        assert delta == -1
 
 
 class TestClausebases:
@@ -123,65 +120,41 @@ class TestClassifyPath:
         check = classify_path(summary, (_le({"x": 1}, 10),), "Probe", 0)
         assert check.kind == "free"
         assert check.reason == "read-only"
-        assert check.bypasses_check
-        assert check.clause_indices == ()
 
     def test_disjoint_bases_are_free(self):
         summary = _only_summary(DRAIN_SRC)
         check = classify_path(summary, (_le({"y": 1}, 10),), "Drain", 0)
         assert check.kind == "free"
         assert check.reason == "untouched-invariants"
-        assert check.bypasses_check
 
-    def test_monotone_safe_delta_absorbs(self):
-        # x <= 10 with delta -1: the write moves away from the bound.
-        summary = _only_summary(DRAIN_SRC)
-        check = classify_path(summary, (_le({"x": 1}, 10),), "Drain", 0)
-        assert check.kind == "free-absorb"
-        assert check.reason == "monotone-safe"
-        assert check.bypasses_check
-
-    def test_unsafe_delta_partitions(self):
-        # x >= 1 normalizes to -x <= -1: delta -1 moves toward the bound,
-        # so the ground write set compiles to a clause-index subset.
-        constraints = (_le({"x": -1}, -1), _le({"y": 1}, 5))
-        summary = _only_summary(DRAIN_SRC)
-        check = classify_path(summary, constraints, "Drain", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0,)
-        assert not check.bypasses_check
-
-    def test_partition_selects_every_touching_clause(self):
-        constraints = (
-            _le({"x": -1}, -1),
-            _le({"y": 1}, 5),
-            _le({"x": 1, "y": 1}, 20),
-        )
-        summary = _only_summary(DOUBLE_SRC)
-        check = classify_path(summary, constraints, "Double", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0, 2)
+    def test_ground_writes_touching_treaty_are_full(self):
+        # Every path that writes a clause base takes the full check,
+        # whatever its write shape: a delta moving away from the bound
+        # (x <= 10, delta -1), one moving toward it (x >= 1 normalizes
+        # to -x <= -1), a non-constant update, or a ground array cell.
+        cases = [
+            (DRAIN_SRC, (_le({"x": 1}, 10),)),
+            (DRAIN_SRC, (_le({"x": -1}, -1), _le({"y": 1}, 5))),
+            (DOUBLE_SRC, (_le({"x": -1}, -1), _le({"x": 1, "y": 1}, 20))),
+            (GROUND_CELL_SRC, (_le({"qty[0]": -1}, -1), _le({"qty[9]": -1}, -1))),
+        ]
+        for source, constraints in cases:
+            summary = _only_summary(source)
+            check = classify_path(summary, constraints, "T", 0)
+            assert check.kind == "full"
+            assert check.reason == "touches-treaty"
 
     def test_pin_on_written_base_blocks_absorb(self):
         summary = _only_summary(DRAIN_SRC)
         check = classify_path(summary, (_pin("x", 5),), "Drain", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0,)
+        assert check.kind == "full"
 
     def test_parameterized_writes_fall_back_to_full(self):
         summary = _only_summary(PARAM_SRC)
         constraints = (_le({"qty[0]": -1}, -1),)
         check = classify_path(summary, constraints, "BuyP", 0)
         assert check.kind == "full"
-        assert check.reason == "parameterized-writes"
-
-    def test_ground_cell_partitions_against_cell_clauses(self):
-        summary = _only_summary(GROUND_CELL_SRC)
-        (name,) = summary.ground
-        constraints = (_le({name: -1}, -1), _le({"qty[9]": -1}, -1))
-        check = classify_path(summary, constraints, "Tap", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0,)
+        assert check.reason == "touches-treaty"
 
 
 class TestBuildAndCodec:
@@ -201,7 +174,7 @@ class TestBuildAndCodec:
         treaty = LocalTreaty(site=0, constraints=[_le({"x": -1}, -1)])
         paths = build_path_checks(self._catalog(), treaty)
         (drain,) = paths["Drain"]
-        assert drain.kind == "partition"
+        assert drain.kind == "full"
         (probe,) = paths["Probe"]
         assert probe.kind == "free"
 
@@ -212,11 +185,12 @@ class TestBuildAndCodec:
         assert decode_path_checks(payload) == paths
 
     def test_decode_single_check(self):
-        check = decode_path_check("T", [2, "partition", [0, 3], "ground-writes"])
+        check = decode_path_check("T", [2, "full", "touches-treaty"])
         assert check.tx_name == "T"
         assert check.row_index == 2
-        assert check.kind == "partition"
-        assert check.clause_indices == (0, 3)
+        assert check.kind == "full"
+        assert check.reason == "touches-treaty"
+        assert check.encode() == [2, "full", "touches-treaty"]
 
     def test_kind_vocabulary_is_closed(self):
         treaty = LocalTreaty(site=0, constraints=[_le({"x": -1}, -1)])
@@ -238,9 +212,9 @@ class TestBranchedProcedure:
         treaty = LocalTreaty(site=0, constraints=[_le({"x": 1}, 20)])
         checks = build_path_checks(catalog, treaty)["Incr"]
         kinds = {check.row_index: check.kind for check in checks}
-        # The increment path moves x toward its bound; the print path
-        # writes nothing at all.
-        assert sorted(kinds.values()) == ["free", "partition"]
+        # The increment path writes x, which the clause mentions; the
+        # print path writes nothing at all.
+        assert sorted(kinds.values()) == ["free", "full"]
 
 
 @pytest.mark.parametrize(

@@ -4,17 +4,14 @@ The API-redesign acceptance criteria:
 
 - one :class:`ClusterSpec` drives all three kernels through
   :func:`build_cluster`;
-- the old positional constructors keep working behind a deprecation
-  shim (warned, delegating, observably identical);
-- :class:`ConcurrentCluster` has a real typed signature (no
-  ``*args, **kwargs`` swallowing);
+- both in-process kernels take exactly ``(spec, transport)`` -- a
+  typed signature with no ``*args, **kwargs`` swallowing;
 - one :class:`Outcome` enum spans ``ClusterResult`` and
   ``WindowOutcome``, and ``try_submit`` maps unavailability into it
   instead of making callers fingerprint exceptions.
 """
 
 import inspect
-import random
 
 import pytest
 
@@ -81,60 +78,11 @@ class TestBuildCluster:
             build_cluster(_spec())
             build_cluster(_spec(), kernel="concurrent")
 
-
-class TestDeprecationShim:
-    def _legacy_kwargs(self):
-        spec = _spec()
-        return dict(
-            site_ids=spec.sites,
-            locate=spec.locate,
-            initial_db=spec.initial_db,
-            tables=spec.tables,
-            tx_home=spec.tx_home,
-            generator=spec.make_generator(),
-        )
-
-    def test_old_constructor_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="build_cluster"):
-            cluster = HomeostasisCluster(**self._legacy_kwargs())
-        assert cluster.submit("Buy@s0", {"item": 0}).status is Outcome.COMMITTED
-
-    def test_concurrent_constructor_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="build_cluster"):
-            cluster = ConcurrentCluster(**self._legacy_kwargs())
-        result = cluster.submit_window([("Buy@s0", {"item": 0})])
-        assert result.outcomes[0].status is Outcome.COMMITTED
-
-    def test_old_constructor_accepts_negotiation_keyword(self):
-        from repro.protocol.paxos_commit import NegotiationSpec
-
-        with pytest.warns(DeprecationWarning, match="build_cluster"):
-            cluster = HomeostasisCluster(
-                negotiation=NegotiationSpec(policy="credit"),
-                **self._legacy_kwargs(),
-            )
-        assert cluster.fairness_stats()["policy"] == "credit"
-        assert cluster.submit("Buy@s0", {"item": 0}).status is Outcome.COMMITTED
-
-    def test_shimmed_and_spec_built_clusters_agree(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = HomeostasisCluster(**self._legacy_kwargs())
-        modern = build_cluster(_spec())
-        rng = random.Random(3)
-        schedule = [
-            (f"Buy@s{rng.randrange(2)}", {"item": rng.randrange(6)})
-            for _ in range(20)
-        ]
-        for name, params in schedule:
-            assert legacy.submit(name, params).log == modern.submit(name, params).log
-        assert legacy.global_state() == modern.global_state()
-
-    def test_concurrent_signature_is_typed(self):
-        params = inspect.signature(ConcurrentCluster.__init__).parameters
-        assert "site_ids" in params and "generator" in params
-        assert not any(
-            p.kind is inspect.Parameter.VAR_POSITIONAL for p in params.values()
-        )
+    def test_kernels_take_spec_and_transport(self):
+        for cls in (HomeostasisCluster, ConcurrentCluster):
+            params = inspect.signature(cls.__init__).parameters
+            assert list(params) == ["self", "spec", "transport"]
+            assert params["transport"].default is None
 
 
 class TestOutcome:

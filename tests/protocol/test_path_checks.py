@@ -1,20 +1,23 @@
-"""Runtime tests for the path-sensitive treaty-check tier.
+"""Runtime tests for the per-path commit check (``free`` / ``full``).
 
-Covers the per-site check-kind counters, the partitioned subset check
-against the full oracle, the WAL round-trip of the path table, the
-cluster-level classifier statistics, and -- as the property-level
-safety net -- a Hypothesis differential oracle: random micro runs in
-validate mode, where every bypassed or partitioned check is executed
-next to the full treaty check and any disagreement raises
-:class:`PathCheckDivergence`.
+Covers the per-site check-kind counters, full-check verdicts on
+ground-write paths against the compiled oracle, the WAL round-trip of
+the path table and its replay cross-check, the validate-mode guard on
+a forged ``free`` check, the cluster-level classifier statistics, and
+-- as the property-level safety net -- a Hypothesis differential
+oracle: random micro runs in validate mode, where every ``free`` and
+escrow verdict is compared against the full treaty check and any
+disagreement raises.
 """
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.classify import PathCheckDivergence  # noqa: F401 (oracle)
+from repro.analysis.classify import PathCheckDivergence
 from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.parser import parse_transaction
 from repro.logic.linear import LinearConstraint, LinearExpr
@@ -81,26 +84,6 @@ class TestCheckStatsCounters:
         assert server.execute("Probe").committed
         assert server.check_stats["free"] == 1
 
-    def test_monotone_safe_path_counts_absorbed(self):
-        server = _server(DRAIN_SRC, constraints=[_le({"x": 1}, 10)])
-        server.engine.poke("x", 3)
-        assert server.execute("Drain").committed
-        stats = server.check_stats
-        assert stats["absorbed"] == 1
-        assert stats["clauses_in_scope"] == 0
-
-    def test_partition_counts_clauses_in_scope(self):
-        # x >= 1 plus an unrelated clause: the drain path's subset
-        # check covers exactly one of the two installed clauses.
-        server = _server(
-            DRAIN_SRC, constraints=[_le({"x": -1}, -1), _le({"y": 1}, 10)]
-        )
-        server.engine.poke("x", 5)
-        assert server.execute("Drain").committed
-        stats = server.check_stats
-        assert stats["partition"] == 1
-        assert stats["clauses_in_scope"] == 1
-
     def test_full_counts_whole_treaty(self):
         server = _server(
             BUYP_SRC,
@@ -112,6 +95,19 @@ class TestCheckStatsCounters:
         stats = server.check_stats
         assert stats["full"] == 1
         assert stats["clauses_in_scope"] == 2
+        # Ground writes count the whole treaty too: a delta away from
+        # the bound (x <= 10) and one toward it next to an unrelated
+        # clause (x >= 1, y <= 10).
+        for constraints in (
+            [_le({"x": 1}, 10)],
+            [_le({"x": -1}, -1), _le({"y": 1}, 10)],
+        ):
+            server = _server(DRAIN_SRC, constraints=constraints)
+            server.engine.poke("x", 5)
+            assert server.execute("Drain").committed
+            stats = server.check_stats
+            assert stats["full"] == 1
+            assert stats["clauses_in_scope"] == len(constraints)
 
     def test_counters_sum_to_checked(self):
         server = _server(
@@ -123,16 +119,16 @@ class TestCheckStatsCounters:
             server.execute("Probe")
         stats = server.check_stats
         assert stats["checked"] == 8
-        assert (
-            stats["free"] + stats["absorbed"] + stats["partition"] + stats["full"]
-            == stats["checked"]
-        )
+        assert stats["free"] + stats["full"] == stats["checked"]
 
 
 class TestPartitionAgainstOracle:
+    """Paths with statically known (ground) writes into clause bases
+    take the full check, on the compiled closure or the escrow
+    counters, and every verdict matches the compiled oracle."""
+
     def _compiled_server(self, constraints):
-        """A server forced onto the compiled (non-escrow) check path,
-        so the partitioned subset check itself is what runs."""
+        """A server forced onto the compiled (non-escrow) check path."""
         server = _server(DRAIN_SRC, constraints=constraints)
         server.escrow = None
         return server
@@ -147,21 +143,41 @@ class TestPartitionAgainstOracle:
         assert result.violated_objects == frozenset({"x"})
 
     def test_partition_agrees_with_full_check_in_validate_mode(self):
-        # validate_escrow is on: any subset/full disagreement would
-        # raise PathCheckDivergence out of execute().
-        server = self._compiled_server([_le({"x": -1}, -1), _le({"y": 1}, 5)])
-        server.engine.poke("x", 6)
-        for _ in range(6):
-            server.execute("Drain")
-        assert server.check_stats["partition"] == 6
+        # validate_escrow is on: an escrow verdict that disagrees with
+        # the compiled oracle raises EscrowDivergence out of execute().
+        # The drain runs x from 3 past the x >= 1 bound, so both
+        # verdicts occur; the monotone-safe x <= 10 treaty never aborts.
+        for constraints in (
+            [_le({"x": -1}, -1), _le({"y": 1}, 5)],
+            [_le({"x": 1}, 10)],
+        ):
+            server = _server(DRAIN_SRC, constraints=constraints)
+            assert server.escrow is not None
+            server.engine.poke("x", 3)
+            oracle = LocalTreaty(site=0, constraints=list(constraints))
+            for _ in range(4):
+                before = server.engine.peek("x")
+                result = server.execute("Drain")
+                after = {"x": before - 1}
+                expect = oracle.violations_after_writes(
+                    lambda name: after.get(name, 0), {"x"}
+                )
+                assert result.committed == (not expect)
+            assert server.check_stats["full"] == 4
 
     def test_unrelated_clause_violation_is_not_blamed(self):
-        # The subset check must not charge the drain path for the
-        # y-clause; with y already past its bound before the commit,
-        # H2 is broken for y, but the drain's own subset still holds.
-        server = _server(DRAIN_SRC, constraints=[_le({"x": -1}, -1)])
-        server.engine.poke("x", 4)
-        assert server.execute("Drain").committed
+        # The drain path must not be charged for the y-clause: with y
+        # already past its bound before the commit, H2 is broken for
+        # y, but the clauses the drain's writes touch still hold.
+        for escrow in (True, False):
+            server = _server(
+                DRAIN_SRC, constraints=[_le({"x": -1}, -1), _le({"y": 1}, 5)]
+            )
+            if not escrow:
+                server.escrow = None
+            server.engine.poke("x", 4)
+            server.engine.poke("y", 9)
+            assert server.execute("Drain").committed
 
 
 class TestWalPathRecords:
@@ -189,6 +205,33 @@ class TestWalPathRecords:
         ]
         assert install_records
         assert decode_recorded_paths(install_records[-1]) == paths
+
+    def test_replay_rejects_tampered_path_record(self):
+        # Validate mode cross-checks the re-derived path table against
+        # the install-time record: relabel the drain path free.
+        server, paths = self._paths()
+        server.replay_wal()  # the untampered record replays silently
+        assert server.path_checks == paths
+        record = server.wal.last_treaty_install()
+        assert record["paths"]["Drain"] == [[0, "full", "touches-treaty"]]
+        record["paths"]["Drain"] = [[0, "free", "untouched-invariants"]]
+        server.wal.append(record)
+        with pytest.raises(PathCheckDivergence, match="replayed path checks"):
+            server.replay_wal()
+
+
+class TestForgedFreeCheck:
+    def test_forged_free_check_raises_in_validate_mode(self):
+        # Drain writes x, which the treaty bounds (x >= 1): a ``free``
+        # label on that path is unsound, and the validate-mode oracle
+        # must catch the commit it would wave through.
+        server = _server(DRAIN_SRC, constraints=[_le({"x": -1}, -1)])
+        (check,) = server.path_checks["Drain"]
+        server.path_checks["Drain"] = (dataclasses.replace(check, kind="free"),)
+        server.engine.poke("x", 1)
+        with pytest.raises(PathCheckDivergence, match="FREE bypass"):
+            server.execute("Drain")
+        assert server.engine.peek("x") == 1  # the attempt rolled back
 
 
 class TestClusterClassifier:
@@ -218,10 +261,7 @@ class TestClusterClassifier:
         _, cluster = self._run(audit_fraction=0.5)
         stats = cluster.classifier_stats()
         assert stats["checked"] > 0
-        assert (
-            stats["free"] + stats["absorbed"] + stats["partition"] + stats["full"]
-            == stats["checked"]
-        )
+        assert stats["free"] + stats["full"] == stats["checked"]
         assert 0.0 < stats["free_ratio"] <= 1.0
         assert stats["checks_per_commit"] >= 0.0
 
@@ -231,10 +271,10 @@ class TestClusterClassifier:
 
 
 class TestDifferentialOracle:
-    """Random micro runs in validate mode: every FREE bypass,
-    monotone-safe skip and partitioned subset check is executed next
-    to the full treaty check inside ``SiteServer.execute`` and any
-    disagreement raises ``PathCheckDivergence``.  The property also
+    """Random micro runs in validate mode: every ``free`` bypass and
+    escrow verdict is compared against the full treaty check inside
+    ``SiteServer.execute`` and any disagreement raises
+    (``PathCheckDivergence`` / ``EscrowDivergence``).  The property also
     pins validate mode as observationally silent: the final database
     matches a plain (non-validating) run of the same request stream.
     """

@@ -4,13 +4,12 @@
 ``docs/CLASSIFICATION.md`` records what the coordination-freedom
 classifier proves about every bundled workload: per transaction and
 site, the procedure-level verdict (FREE / PATH_SENSITIVE / TREATY /
-SYNC) and the per-path check kinds the path-sensitive tier selects at
-dispatch time.  The table is *generated from the live classifier* over
+SYNC) and the per-path check kinds the site selects at dispatch time.
+The table is *generated from the live classifier* over
 deterministically built clusters, so it doubles as a regression
 surface: a change that silently downgrades Payment from FREE to
-TREATY, or widens a partitioned Delivery check back to the whole
-treaty, shows up as a diff here before it shows up as a benchmark
-regression.
+TREATY, or sends Delivery's skip path back to the full check, shows
+up as a diff here before it shows up as a benchmark regression.
 
 Usage::
 
@@ -43,18 +42,18 @@ proves about each bundled workload's stored procedures, per site,
 under the treaties the deterministic seed installs.  Verdicts:
 
 - **FREE** -- every path bypasses the treaty check entirely (machine-
-  checked witness: the path's writes cannot move any treaty clause,
-  or only move them away from their bounds).
+  checked witness: the path's writes touch no base any treaty clause
+  mentions).
 - **PATH_SENSITIVE** -- some paths are FREE, the rest need a check;
   the dispatch-time path split prices each path separately.
-- **TREATY** -- every path needs a treaty check (possibly a
-  partitioned one touching only the clauses its writes can move).
+- **TREATY** -- every path needs the full treaty check (escrow
+  counters, or the compiled closure when the treaty is not
+  escrow-eligible).
 - **SYNC** -- some path provably breaks a pinned value every time it
   runs; no treaty can license it locally.
 
-`paths` lists the per-path check kind the path-sensitive tier selects
-(`free` / `free-absorb` / `partition:k` over k clauses / `full`), in
-symbolic-table row order.
+`paths` lists the per-path check kind the site selects (`free` /
+`full`), in symbolic-table row order.
 """
 
 
@@ -82,12 +81,6 @@ WORKLOADS = {
 }
 
 
-def _path_label(check) -> str:
-    if check.kind == "partition":
-        return f"partition:{len(check.clause_indices)}"
-    return check.kind
-
-
 def render() -> str:
     sections = [HEADER]
     for title, build in WORKLOADS.items():
@@ -104,7 +97,7 @@ def render() -> str:
             for tx_name in sorted(verdicts):
                 classification = verdicts[tx_name]
                 checks = server.path_checks.get(tx_name, ())
-                paths = ", ".join(_path_label(c) for c in checks) or "-"
+                paths = ", ".join(c.kind for c in checks) or "-"
                 sections.append(
                     f"| s{sid} | `{tx_name}` | "
                     f"{classification.verdict} | {paths} |"
