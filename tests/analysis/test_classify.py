@@ -79,18 +79,26 @@ class TestClassifyRow:
         assert check.kind == "full"
         check_witness(path, PARAM, constraints)
 
-    def test_ground_writes_are_treaty(self):
-        # A constant delta away from the bound (x <= 10, delta -1) and
-        # one toward it (x >= 1) both write a clause base: TREATY.
-        for constraints in (
-            (_le({"x": 1}, 10),),
-            (_le({"x": -1}, -1), _le({"y": 1}, 5)),
-        ):
-            path, check = classify_row(DRAIN, constraints, "D", 0)
-            assert path.verdict == "TREATY"
-            assert check.kind == "full"
-            assert path.witness_dict() == {"write_bases": ["x"]}
-            check_witness(path, DRAIN, constraints)
+    def test_monotone_safe_is_free_absorb(self):
+        # x <= 10 with delta -1 moves away from the bound, but the path
+        # still writes a clause base: TREATY, with the full check.
+        constraints = (_le({"x": 1}, 10),)
+        path, check = classify_row(DRAIN, constraints, "D", 0)
+        assert path.verdict == "TREATY"
+        assert path.reason == "touches-treaty"
+        assert check.kind == "full"
+        assert path.witness_dict() == {"write_bases": ["x"]}
+        check_witness(path, DRAIN, constraints)
+
+    def test_partitioned_treaty_witness(self):
+        # x >= 1 next to an unrelated clause: the witness names the
+        # written bases, not a clause subset.
+        constraints = (_le({"x": -1}, -1), _le({"y": 1}, 5))
+        path, check = classify_row(DRAIN, constraints, "D", 0)
+        assert path.verdict == "TREATY"
+        assert check.kind == "full"
+        assert path.witness_dict() == {"write_bases": ["x"]}
+        check_witness(path, DRAIN, constraints)
 
     def test_verdict_vocabulary(self):
         for constraints in ((), (_le({"x": 1}, 10),), (_pin("x", 5),)):

@@ -127,22 +127,41 @@ class TestClassifyPath:
         assert check.kind == "free"
         assert check.reason == "untouched-invariants"
 
-    def test_ground_writes_touching_treaty_are_full(self):
-        # Every path that writes a clause base takes the full check,
-        # whatever its write shape: a delta moving away from the bound
-        # (x <= 10, delta -1), one moving toward it (x >= 1 normalizes
-        # to -x <= -1), a non-constant update, or a ground array cell.
-        cases = [
-            (DRAIN_SRC, (_le({"x": 1}, 10),)),
-            (DRAIN_SRC, (_le({"x": -1}, -1), _le({"y": 1}, 5))),
-            (DOUBLE_SRC, (_le({"x": -1}, -1), _le({"x": 1, "y": 1}, 20))),
-            (GROUND_CELL_SRC, (_le({"qty[0]": -1}, -1), _le({"qty[9]": -1}, -1))),
-        ]
-        for source, constraints in cases:
-            summary = _only_summary(source)
-            check = classify_path(summary, constraints, "T", 0)
-            assert check.kind == "full"
-            assert check.reason == "touches-treaty"
+    def test_monotone_safe_delta_absorbs(self):
+        # x <= 10 with delta -1: the write moves away from the bound,
+        # but it writes a clause base, so the path takes the full check.
+        summary = _only_summary(DRAIN_SRC)
+        check = classify_path(summary, (_le({"x": 1}, 10),), "Drain", 0)
+        assert check.kind == "full"
+        assert check.reason == "touches-treaty"
+
+    def test_unsafe_delta_partitions(self):
+        # x >= 1 normalizes to -x <= -1: delta -1 moves toward the bound.
+        constraints = (_le({"x": -1}, -1), _le({"y": 1}, 5))
+        summary = _only_summary(DRAIN_SRC)
+        check = classify_path(summary, constraints, "Drain", 0)
+        assert check.kind == "full"
+        assert check.reason == "touches-treaty"
+
+    def test_partition_selects_every_touching_clause(self):
+        # A non-constant update of x, touching two of three clauses.
+        constraints = (
+            _le({"x": -1}, -1),
+            _le({"y": 1}, 5),
+            _le({"x": 1, "y": 1}, 20),
+        )
+        summary = _only_summary(DOUBLE_SRC)
+        check = classify_path(summary, constraints, "Double", 0)
+        assert check.kind == "full"
+        assert check.reason == "touches-treaty"
+
+    def test_ground_cell_partitions_against_cell_clauses(self):
+        # A ground array cell counts as a write of its base.
+        summary = _only_summary(GROUND_CELL_SRC)
+        constraints = (_le({"qty[0]": -1}, -1), _le({"qty[9]": -1}, -1))
+        check = classify_path(summary, constraints, "Tap", 0)
+        assert check.kind == "full"
+        assert check.reason == "touches-treaty"
 
     def test_pin_on_written_base_blocks_absorb(self):
         summary = _only_summary(DRAIN_SRC)

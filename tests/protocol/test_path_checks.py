@@ -84,6 +84,28 @@ class TestCheckStatsCounters:
         assert server.execute("Probe").committed
         assert server.check_stats["free"] == 1
 
+    def test_monotone_safe_path_counts_absorbed(self):
+        # x <= 10 with delta -1 moves away from the bound; the path
+        # still takes the full check over the whole treaty.
+        server = _server(DRAIN_SRC, constraints=[_le({"x": 1}, 10)])
+        server.engine.poke("x", 3)
+        assert server.execute("Drain").committed
+        stats = server.check_stats
+        assert stats["full"] == 1
+        assert stats["clauses_in_scope"] == 1
+
+    def test_partition_counts_clauses_in_scope(self):
+        # x >= 1 plus an unrelated clause: the full check covers both
+        # installed clauses.
+        server = _server(
+            DRAIN_SRC, constraints=[_le({"x": -1}, -1), _le({"y": 1}, 10)]
+        )
+        server.engine.poke("x", 5)
+        assert server.execute("Drain").committed
+        stats = server.check_stats
+        assert stats["full"] == 1
+        assert stats["clauses_in_scope"] == 2
+
     def test_full_counts_whole_treaty(self):
         server = _server(
             BUYP_SRC,
@@ -95,19 +117,6 @@ class TestCheckStatsCounters:
         stats = server.check_stats
         assert stats["full"] == 1
         assert stats["clauses_in_scope"] == 2
-        # Ground writes count the whole treaty too: a delta away from
-        # the bound (x <= 10) and one toward it next to an unrelated
-        # clause (x >= 1, y <= 10).
-        for constraints in (
-            [_le({"x": 1}, 10)],
-            [_le({"x": -1}, -1), _le({"y": 1}, 10)],
-        ):
-            server = _server(DRAIN_SRC, constraints=constraints)
-            server.engine.poke("x", 5)
-            assert server.execute("Drain").committed
-            stats = server.check_stats
-            assert stats["full"] == 1
-            assert stats["clauses_in_scope"] == len(constraints)
 
     def test_counters_sum_to_checked(self):
         server = _server(
